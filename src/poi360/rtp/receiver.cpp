@@ -100,9 +100,9 @@ void RtpReceiver::on_packet(const RtpPacket& packet, SimTime arrival) {
   }
 
   ++interval_received_;
+  arrivals_.push_back(Arrival{arrival, total_bytes_});
   total_bytes_ += packet.bytes;
-  arrivals_.emplace_back(arrival, packet.bytes);
-  while (!arrivals_.empty() && arrivals_.front().first < arrival - sec(2)) {
+  while (!arrivals_.empty() && arrivals_.front().at < arrival - sec(2)) {
     arrivals_.pop_front();
   }
 
@@ -285,13 +285,12 @@ Bitrate RtpReceiver::incoming_rate(SimDuration window) const {
   // No estimate until a full window of history exists: a half-filled window
   // under-reads the rate, and the AIMD cap would slash the target at session
   // start.
-  if (arrivals_.back().first - arrivals_.front().first < window) return 0.0;
-  const SimTime cutoff = arrivals_.back().first - window;
-  std::int64_t bytes = 0;
-  for (auto it = arrivals_.rbegin(); it != arrivals_.rend(); ++it) {
-    if (it->first < cutoff) break;
-    bytes += it->second;
-  }
+  if (arrivals_.back().at - arrivals_.front().at < window) return 0.0;
+  const SimTime cutoff = arrivals_.back().at - window;
+  const auto first = std::lower_bound(
+      arrivals_.begin(), arrivals_.end(), cutoff,
+      [](const Arrival& a, SimTime t) { return a.at < t; });
+  const std::int64_t bytes = total_bytes_ - first->bytes_before;
   return rate_of(bytes, window);
 }
 

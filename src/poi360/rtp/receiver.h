@@ -109,7 +109,9 @@ class RtpReceiver {
   /// (WebRTC receiver-report style); resets the interval counters.
   double take_loss_fraction();
 
-  /// Throughput over the trailing window, from packet arrivals.
+  /// Throughput over the trailing window, from packet arrivals: the bytes
+  /// that arrived at or after `last arrival - window`. 0 until the log spans
+  /// a full window. O(log n) in the logged arrivals.
   Bitrate incoming_rate(SimDuration window = msec(500)) const;
 
   std::int64_t total_media_bytes() const { return total_bytes_; }
@@ -173,8 +175,15 @@ class RtpReceiver {
   std::int64_t interval_received_ = 0;
   std::int64_t interval_lost_ = 0;
 
-  // Trailing arrival log for rate estimation.
-  std::deque<std::pair<SimTime, std::int64_t>> arrivals_;
+  // Trailing arrival log for rate estimation, in arrival order (deliveries
+  // are events, so arrival times never decrease). `bytes_before` is
+  // total_bytes_ just before the packet counted: the bytes of any suffix
+  // of the log are total_bytes_ minus its first entry's `bytes_before`.
+  struct Arrival {
+    SimTime at;
+    std::int64_t bytes_before;
+  };
+  std::deque<Arrival> arrivals_;
 
   std::int64_t total_bytes_ = 0;
   std::int64_t frames_completed_ = 0;

@@ -25,48 +25,46 @@ void Simulator::schedule_at(SimTime t, Callback cb) {
 void Simulator::schedule_periodic(SimTime start, SimDuration period,
                                   Callback cb) {
   if (start < now_) start = now_;
-  periodics_.push_back(PeriodicTimer{start, next_seq_++, period,
-                                     std::move(cb)});
+  periodic_keys_.push_back(TimerKey{start, next_seq_++});
+  periodics_.push_back(PeriodicTimer{period, std::move(cb)});
 }
 
 bool Simulator::fire_next(SimTime horizon) {
   // The earliest firing is the globally smallest (time, seq) across the
   // one-shot heap and the periodic lane. Sessions run a handful of timers,
-  // so a linear scan beats maintaining a second heap.
-  bool from_periodic = false;
-  std::size_t timer_index = 0;
-  SimTime best_time = 0;
-  std::uint64_t best_seq = 0;
-  bool found = false;
+  // so a linear scan of the contiguous keys beats maintaining a second heap.
+  constexpr std::size_t kFromQueue = std::numeric_limits<std::size_t>::max();
+  std::size_t timer_index = kFromQueue;
+  SimTime best_time = std::numeric_limits<SimTime>::max();
+  std::uint64_t best_seq = std::numeric_limits<std::uint64_t>::max();
 
   if (!queue_.empty()) {
     best_time = queue_.top().time;
     best_seq = queue_.top().seq;
-    found = true;
   }
-  for (std::size_t i = 0; i < periodics_.size(); ++i) {
-    const PeriodicTimer& timer = periodics_[i];
-    if (!found || timer.next < best_time ||
-        (timer.next == best_time && timer.seq < best_seq)) {
-      best_time = timer.next;
-      best_seq = timer.seq;
-      from_periodic = true;
+  for (std::size_t i = 0; i < periodic_keys_.size(); ++i) {
+    const TimerKey& key = periodic_keys_[i];
+    if (key.next < best_time || (key.next == best_time && key.seq < best_seq)) {
+      best_time = key.next;
+      best_seq = key.seq;
       timer_index = i;
-      found = true;
     }
   }
-  if (!found || best_time > horizon) return false;
+  if (timer_index == kFromQueue && queue_.empty()) return false;
+  if (best_time > horizon) return false;
 
   now_ = best_time;
-  if (from_periodic) {
-    periodics_[timer_index].cb();
+  if (timer_index != kFromQueue) {
+    PeriodicTimer& timer = periodics_[timer_index];
+    timer.cb();
     // Re-arm in place. The next firing draws its sequence number *after*
     // the callback ran, exactly as when each firing re-scheduled itself
     // through the queue: events the callback just scheduled at the same
     // future timestamp keep their FIFO slot ahead of the timer's next turn.
-    PeriodicTimer& timer = periodics_[timer_index];
-    timer.seq = next_seq_++;
-    timer.next = now_ + timer.period;
+    // Index the keys afresh: the callback may have registered new timers.
+    TimerKey& key = periodic_keys_[timer_index];
+    key.seq = next_seq_++;
+    key.next = now_ + timer.period;
   } else {
     const Event ev = queue_.top();
     queue_.pop();

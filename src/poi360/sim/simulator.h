@@ -79,9 +79,13 @@ class Simulator {
       return a.seq > b.seq;
     }
   };
-  struct PeriodicTimer {
+  // A periodic timer's position in the (time, seq) order, kept apart from
+  // its callback so the lane scan walks one contiguous array.
+  struct TimerKey {
     SimTime next;
     std::uint64_t seq;  // refreshed after every firing
+  };
+  struct PeriodicTimer {
     SimDuration period;
     Callback cb;
   };
@@ -99,8 +103,10 @@ class Simulator {
   // free list; at steady state scheduling allocates nothing.
   std::vector<Callback> slots_;
   std::vector<std::uint32_t> free_slots_;
-  // Timers are never cancelled; a deque keeps references stable while a
-  // firing callback registers new periodic streams.
+  // Timers are never cancelled. periodic_keys_[i] orders periodics_[i]; the
+  // deque keeps a firing callback at a stable address while it registers new
+  // periodic streams (which may reallocate periodic_keys_).
+  std::vector<TimerKey> periodic_keys_;
   std::deque<PeriodicTimer> periodics_;
 };
 

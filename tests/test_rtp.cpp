@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <deque>
+#include <random>
+#include <utility>
 #include <vector>
 
 #include "poi360/rtp/pacer.h"
@@ -482,6 +486,71 @@ TEST(Receiver, IncomingRateMatchesSteadyStream) {
   EXPECT_NEAR(h.receiver.incoming_rate(msec(500)) / 1e3, 800.0, 40.0);
   EXPECT_EQ(h.receiver.frames_completed(), 150);
   EXPECT_EQ(h.receiver.total_media_bytes(), 150'000);
+}
+
+// incoming_rate as a window scan: walk the trailing (arrival, bytes) log
+// back from the newest entry to the cutoff. The receiver answers from
+// cumulative counts by binary search; the two must agree exactly.
+Bitrate scan_incoming_rate(
+    const std::deque<std::pair<SimTime, std::int64_t>>& log,
+    SimDuration window) {
+  if (log.empty() || window <= 0) return 0.0;
+  if (log.back().first - log.front().first < window) return 0.0;
+  const SimTime cutoff = log.back().first - window;
+  std::int64_t bytes = 0;
+  for (auto it = log.rbegin(); it != log.rend(); ++it) {
+    if (it->first < cutoff) break;
+    bytes += it->second;
+  }
+  return rate_of(bytes, window);
+}
+
+TEST(Receiver, IncomingRateNeedsFullWindowAndCountsTheCutoff) {
+  ReceiverHarness h;
+  h.receiver.on_packet(make_packet(0, 0, 0, 1, 100), msec(10));
+  h.receiver.on_packet(make_packet(1, 1, 0, 1, 200), msec(10));  // same time
+  h.receiver.on_packet(make_packet(2, 2, 0, 1, 400), msec(20));
+  h.receiver.on_packet(make_packet(3, 3, 0, 1, 800), msec(30));
+  // The log spans 20 ms: no estimate for a longer window.
+  EXPECT_EQ(h.receiver.incoming_rate(msec(20) + 1), 0.0);
+  // A 20 ms window starts exactly on the first timestamp: both packets
+  // there count.
+  EXPECT_EQ(h.receiver.incoming_rate(msec(20)), rate_of(1500, msec(20)));
+  // One microsecond less drops them.
+  EXPECT_EQ(h.receiver.incoming_rate(msec(20) - 1),
+            rate_of(1200, msec(20) - 1));
+  EXPECT_EQ(h.receiver.incoming_rate(msec(10)), rate_of(1200, msec(10)));
+  EXPECT_EQ(h.receiver.incoming_rate(0), 0.0);
+}
+
+TEST(Receiver, IncomingRateMatchesTheWindowScan) {
+  ReceiverHarness h;
+  std::mt19937_64 rng(11);
+  std::deque<std::pair<SimTime, std::int64_t>> log;
+  const SimDuration windows[] = {1,       msec(1), msec(100), msec(500),
+                                 sec(1), sec(2),  sec(3)};
+  SimTime t = 0;
+  for (std::int64_t i = 0; i < 4000; ++i) {
+    // Runs of equal timestamps, short gaps, and the odd pause long enough
+    // to empty the 2 s log down to one entry.
+    const auto r = static_cast<std::int64_t>(rng() % 100);
+    t += r < 30 ? 0 : r < 99 ? msec(r % 4) + r : sec(2) + 1;
+    const auto bytes = 1 + static_cast<std::int64_t>(rng() % 1500);
+    h.receiver.on_packet(make_packet(i, i, 0, 1, bytes), t);
+    log.emplace_back(t, bytes);
+    while (log.front().first < t - sec(2)) log.pop_front();
+
+    for (const SimDuration window : windows) {
+      ASSERT_EQ(h.receiver.incoming_rate(window),
+                scan_incoming_rate(log, window))
+          << "packet " << i << " window " << window;
+    }
+    // Windows whose cutoff falls exactly on a logged arrival time.
+    const SimTime start = log[rng() % log.size()].first;
+    ASSERT_EQ(h.receiver.incoming_rate(t - start),
+              scan_incoming_rate(log, t - start))
+        << "packet " << i << " cutoff " << start;
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -257,6 +258,24 @@ std::vector<std::pair<int, SimTime>> run_scenario(Engine& e, unsigned seed) {
       }
     });
   }
+  // Periodic streams that register further periodic streams while they
+  // fire, some at the current timestamp: each registration grows the
+  // engine's timer table mid-firing, past its capacity more than once, and
+  // registered streams go on to register their own.
+  int spawned = 0;
+  std::function<void(int, SimTime, SimDuration)> spawn;
+  spawn = [&e, &log, &spawned, &spawn, &periods](int tag, SimTime start,
+                                                 SimDuration period) {
+    e.schedule_periodic(start, period, [&e, &log, &spawned, &spawn, &periods,
+                                        tag, fires = 0]() mutable {
+      log.push_back({tag, e.now()});
+      if (++fires % 3 == 0 && spawned < 24) {
+        const int child = 5000 + spawned++;
+        spawn(child, e.now() + msec(fires % 2), periods[child % 5]);
+      }
+    });
+  };
+  spawn(4000, msec(time_ms(rng) % 20), msec(6));
   e.run_until(msec(400));
   return log;
 }
@@ -274,6 +293,10 @@ TEST(Simulator, MatchesReferenceEngineOnRandomizedSchedules) {
       ASSERT_EQ(got[i], want[i]) << "seed " << seed << " index " << i;
     }
     EXPECT_EQ(fast.now(), ref.now());
+    // The last stream registered mid-firing did fire.
+    EXPECT_TRUE(std::any_of(got.begin(), got.end(), [](const auto& fired) {
+      return fired.first == 5023;
+    })) << "seed " << seed;
   }
 }
 
