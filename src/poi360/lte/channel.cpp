@@ -46,9 +46,10 @@ UplinkChannel::UplinkChannel(ChannelConfig config, std::uint64_t seed)
       base_capacity_(capacity_for_rss(config.rss_dbm)),
       load_(std::clamp(config.mean_cell_load, 0.0, 0.95)) {
   if (config_.explicit_users >= 0) {
-    MultiUserCell::Config cell_config = config_.multi_user;
-    cell_config.background_users = config_.explicit_users;
-    cell_ = MultiUserCell(cell_config, Rng(seed).fork(0xCE11).engine()());
+    SharedCell::Config cell_config{config_.multi_user};
+    cell_config.background.background_users = config_.explicit_users;
+    cell_.emplace(cell_config, Rng(seed).fork(0xCE11).engine()());
+    cell_->register_ue();
   }
   // Doppler scales the fading rate: at 50 mph the channel decorrelates an
   // order of magnitude faster than at rest.
@@ -80,7 +81,7 @@ Bitrate UplinkChannel::advance(SimTime now) {
   last_advance_ = now;
 
   // Ornstein-Uhlenbeck steps for cell load and log-fading. The abstract
-  // load walk is skipped when the explicit multi-user cell is active.
+  // load walk is skipped when the explicit PF cell is active.
   if (!cell_ && config_.load_tau_s > 0.0 && config_.load_std > 0.0) {
     const double a = dt_s / config_.load_tau_s;
     load_ += a * (config_.mean_cell_load - load_) +
@@ -109,7 +110,9 @@ Bitrate UplinkChannel::advance(SimTime now) {
 
   double cap = base_capacity_ * std::exp(log_fading_);
   if (cell_) {
-    cap *= cell_->foreground_share(now);
+    // Queries only move forward, so the timeline behind `now` can go.
+    cap *= cell_->share(0, now);
+    cell_->trim(now);
   } else {
     cap *= (1.0 - load_);
   }

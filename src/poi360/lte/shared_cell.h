@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <utility>
@@ -7,22 +8,36 @@
 
 #include "poi360/common/rng.h"
 #include "poi360/common/time.h"
-#include "poi360/lte/multi_user.h"
 
 namespace poi360::lte {
 
-/// A proportional-fair cell whose capacity is a shared, injectable resource.
+/// Residual non-registered uplink load of a cell: N bursty background UEs,
+/// each an on/off source with exponential burst and gap lengths.
+struct OnOffBackground {
+  int background_users = 6;
+  /// Mean duration of a user's active (uploading) burst.
+  SimDuration mean_on = msec(1500);
+  /// Mean idle gap between a user's bursts.
+  SimDuration mean_off = sec(6);
+  /// Weight of a background user relative to the (heavily backlogged)
+  /// foreground video UE; < 1 models their smaller buffers/QoS class.
+  double background_weight = 1.0;
+};
+
+/// The proportional-fair uplink cell: the simulator's one model of the
+/// competition behind POI360's surges and famines (§3.3).
 ///
-/// `MultiUserCell` bakes the single-foreground contract into its API: one
-/// implicit foreground UE, everyone else an anonymous on/off source, and the
-/// only question you can ask is "what share does *the* foreground get".
-/// SharedCell inverts the ownership: N first-class UEs register as demand
-/// sources (each one a full POI360 session, a CBR voice flow, an FTP bulk
-/// transfer, ...) and each asks for *its* share, while the same on/off
-/// background process models the residual non-registered load. With exactly
-/// one registered unit-weight UE the share sequence is draw-for-draw
-/// identical to `MultiUserCell::foreground_share`, which is what keeps every
-/// pre-existing single-session run byte-identical.
+/// N first-class UEs register as demand sources (each one a full POI360
+/// session, a CBR voice flow, an FTP bulk transfer, ...) and each asks for
+/// *its* share, while an `OnOffBackground` process models the residual
+/// non-registered load. The scheduler splits each subframe's resources among
+/// the backlogged weight (proportional fairness converges to equal
+/// time-shares for backlogged users at similar channel quality), so a UE's
+/// share surges when everyone else goes quiet and collapses when the
+/// background bursts. A single-session channel with `explicit_users >= 0`
+/// (one registered unit-weight UE, nothing committed) and the admission
+/// controller's private model (no UE, `prospective_share`) both see
+/// `1 / (1 + background weight)`.
 ///
 /// Time discipline: the fleet driver advances its sessions one master
 /// quantum at a time, so session B asks for shares at times session A has
@@ -30,7 +45,7 @@ namespace poi360::lte {
 /// destructively per query; instead its active-user count is recorded as a
 /// piecewise-constant timeline. Queries at or behind the frontier are pure
 /// lookups (order-independent across UEs); a query past the frontier extends
-/// the timeline, drawing from the RNG exactly as MultiUserCell would have.
+/// the timeline, drawing from the RNG per user in index order.
 ///
 /// Demand discipline: UEs report their live uplink backlog every subframe,
 /// but shares are computed against the snapshot frozen by the latest
@@ -44,9 +59,8 @@ namespace poi360::lte {
 class SharedCell {
  public:
   struct Config {
-    /// Residual non-registered on/off load; same process (and, per seed,
-    /// same draws) as MultiUserCell.
-    MultiUserCell::Config background{};
+    /// Residual non-registered on/off load.
+    OnOffBackground background{};
   };
 
   SharedCell(Config config, std::uint64_t seed);
@@ -69,8 +83,8 @@ class SharedCell {
   /// Proportional-fair capacity share of `ue` at `now` in (0, 1]: its
   /// weight over the committed backlogged weight plus the background load.
   /// The asking UE always counts itself backlogged — a momentarily empty
-  /// buffer still costs it its grant slot, exactly like MultiUserCell's
-  /// foreground. `now` may be behind the frontier (see class comment).
+  /// buffer still costs it its grant slot. `now` may be behind the frontier
+  /// (see class comment).
   double share(int ue, SimTime now);
 
   /// Share a newly registered, backlogged unit-weight UE would receive at
@@ -86,6 +100,9 @@ class SharedCell {
   /// Drops background-timeline segments strictly before `t` (the segment
   /// covering `t` survives). Call at quantum boundaries to bound memory.
   void trim(SimTime t);
+
+  /// Background-timeline segments currently held; `trim` keeps it bounded.
+  std::size_t timeline_segments() const { return segments_.size(); }
 
   /// Furthest time the background process has been advanced to.
   SimTime frontier() const { return frontier_; }
@@ -118,7 +135,8 @@ class SharedCell {
   /// its start until the next segment's start. Never empty.
   std::deque<Segment> segments_;
   std::vector<std::pair<SimTime, int>> pending_;  // extend() scratch
-  SimTime frontier_ = 0;
+  /// Starts before t = 0 so the first query also applies toggles drawn at 0.
+  SimTime frontier_ = -1;
   double sched_weight_ = 0.0;
 };
 

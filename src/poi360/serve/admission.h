@@ -4,17 +4,16 @@
 
 #include "poi360/common/time.h"
 #include "poi360/common/units.h"
-#include "poi360/lte/multi_user.h"
 #include "poi360/lte/shared_cell.h"
 
 namespace poi360::serve {
 
 /// Gates session arrivals against estimated cell headroom.
 ///
-/// Capacity accounting reuses the LTE layer's multi-user cell model: a
-/// `lte::MultiUserCell` tracks the on/off background (non-POI360) uplink
-/// load, and its foreground share scales the raw cell budget to what the
-/// POI360 sessions can actually claim right now. Each admitted session
+/// Capacity accounting reuses the LTE layer's cell model: a private
+/// `lte::SharedCell` with no registered UEs tracks the on/off background
+/// (non-POI360) uplink load, and the share a new UE would get scales the raw
+/// cell budget to what the POI360 sessions can actually claim right now. Each admitted session
 /// reserves its estimated demand (the configured initial rate); an arrival
 /// whose demand does not fit the remaining headroom is handled by policy:
 ///
@@ -39,8 +38,8 @@ class AdmissionController {
     /// rest absorbs per-session burstiness above the reserved mean.
     double headroom_fraction = 0.9;
     /// Background-load accounting (same on/off UE model the LTE uplink
-    /// uses); its foreground share scales `cell_capacity` over time.
-    lte::MultiUserCell::Config cell{};
+    /// uses); the prospective share scales `cell_capacity` over time.
+    lte::OnOffBackground cell{};
   };
 
   AdmissionController(Config config, std::uint64_t seed);
@@ -82,7 +81,7 @@ class AdmissionController {
 
  private:
   Config config_;
-  lte::MultiUserCell cell_;
+  lte::SharedCell cell_;
   lte::SharedCell* shared_cell_ = nullptr;
   Bitrate admitted_demand_ = 0.0;
   std::int64_t accepted_ = 0;

@@ -1,6 +1,6 @@
-// Fleet-layer tests: the SharedCell proportional-fair scheduler (including
-// the draw-identity contract against MultiUserCell that keeps single-session
-// runs byte-identical), the admission controller's fleet pricing, and the
+// Fleet-layer tests: the SharedCell proportional-fair scheduler with several
+// registered UEs (the one-UE case and its bitwise goldens live in
+// test_lte_cell.cpp), the admission controller's fleet pricing, and the
 // FleetDriver end-to-end gates (FleetGate.*) that the fleet sanitizer gates
 // re-run under asan/tsan.
 
@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "poi360/lte/multi_user.h"
 #include "poi360/lte/shared_cell.h"
 #include "poi360/serve/admission.h"
 #include "poi360/serve/fleet_driver.h"
@@ -19,25 +18,6 @@
 using namespace poi360;
 
 namespace {
-
-// The tentpole degenerate-case contract: one registered unit-weight UE must
-// see, draw for draw and bit for bit, the share sequence MultiUserCell's
-// foreground sees for the same seed and query grid. This is what keeps every
-// pre-existing single-session bench byte-identical after the uplink moved to
-// the CellHandle seam.
-TEST(SharedCell, DegenerateShareMatchesMultiUserCellDraws) {
-  const std::uint64_t seed = 77;
-  lte::MultiUserCell::Config bg;
-  lte::MultiUserCell legacy(bg, seed);
-  lte::SharedCell cell(lte::SharedCell::Config{bg}, seed);
-  const int ue = cell.register_ue(1.0);
-  cell.report_demand(ue, 1);
-  cell.commit_demand();
-  for (SimTime t = 0; t <= sec(5); t += msec(1)) {
-    ASSERT_DOUBLE_EQ(legacy.foreground_share(t), cell.share(ue, t))
-        << "diverged at t=" << t;
-  }
-}
 
 TEST(SharedCell, SharesSplitAmongBackloggedUes) {
   // No background users: shares are a pure function of the committed demand.
