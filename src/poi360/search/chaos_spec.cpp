@@ -96,17 +96,6 @@ core::SessionConfig ChaosSpec::session(core::RateControl rate_control) const {
   return config;
 }
 
-void ChaosSpec::apply(serve::SoakConfig& config) const {
-  config.seed = seed;
-  apply(config.session);
-}
-
-void ChaosSpec::apply(serve::FleetConfig& config) const {
-  config.seed = seed;
-  config.duration = sec_f(duration_s);
-  apply(config.session);
-}
-
 Json ChaosSpec::to_json() const {
   Json j = Json::object();
   j.set("seed", seed);

@@ -4,8 +4,6 @@
 
 #include "poi360/common/json.h"
 #include "poi360/core/config.h"
-#include "poi360/serve/fleet_driver.h"
-#include "poi360/serve/soak_driver.h"
 
 // One point of the joint chaos parameter space: everything a scenario-search
 // strategy may vary, in one serializable value. A (ChaosSpec, rate control)
@@ -77,12 +75,6 @@ struct ChaosSpec {
   /// presets::cellular_static() + apply() + the given rate control: the
   /// canonical single-session realization of this spec.
   core::SessionConfig session(core::RateControl rate_control) const;
-
-  /// Serving-layer targets: stamps the spec onto the driver's per-session
-  /// template (and its top-level seed), so soak/fleet campaigns can search
-  /// the same space.
-  void apply(serve::SoakConfig& config) const;
-  void apply(serve::FleetConfig& config) const;
 
   common::Json to_json() const;
   static ChaosSpec from_json(const common::Json& j);

@@ -6,13 +6,6 @@ AdmissionController::AdmissionController(Config config, std::uint64_t seed)
     : config_(config), cell_(lte::SharedCell::Config{config.cell}, seed) {}
 
 Bitrate AdmissionController::headroom(SimTime now) {
-  if (shared_cell_) {
-    // The live registration already accounts for every admitted session's
-    // demand (their uplinks report backlog each subframe), so the marginal
-    // share prices the arrival directly — no static reservation to subtract.
-    return config_.cell_capacity * shared_cell_->prospective_share(now) *
-           config_.headroom_fraction;
-  }
   const double share = cell_.prospective_share(now);
   cell_.trim(now);
   return config_.cell_capacity * share * config_.headroom_fraction -
@@ -39,18 +32,6 @@ const char* to_string(AdmissionController::Policy policy) {
       return "reject";
     case AdmissionController::Policy::kDegrade:
       return "degrade";
-  }
-  return "?";
-}
-
-const char* to_string(AdmissionController::Decision decision) {
-  switch (decision) {
-    case AdmissionController::Decision::kAccept:
-      return "accept";
-    case AdmissionController::Decision::kDegradeAccept:
-      return "degrade-accept";
-    case AdmissionController::Decision::kReject:
-      return "reject";
   }
   return "?";
 }

@@ -44,18 +44,6 @@ class AdmissionController {
 
   AdmissionController(Config config, std::uint64_t seed);
 
-  /// Fleet mode: price admissions off a live `SharedCell` instead of the
-  /// private snapshot model. Headroom becomes `cell_capacity ·
-  /// prospective_share(now) · headroom_fraction` — the PF share a newly
-  /// admitted UE would actually receive against the cell's committed
-  /// backlogged population plus its background load. The registration *is*
-  /// the accounting, so the static `admitted_demand_` reservation is not
-  /// double-counted while attached. Pass nullptr to detach (the private
-  /// model resumes, byte-identical to an unattached controller). The cell
-  /// must outlive the controller.
-  void attach_cell(lte::SharedCell* cell) { shared_cell_ = cell; }
-  const lte::SharedCell* attached_cell() const { return shared_cell_; }
-
   /// Admission decision for an arrival reserving `demand` bits/s. Pure
   /// decision — the caller confirms with `on_admitted` once a session slot
   /// was actually acquired (a full pool can still refuse an accept).
@@ -82,7 +70,6 @@ class AdmissionController {
  private:
   Config config_;
   lte::SharedCell cell_;
-  lte::SharedCell* shared_cell_ = nullptr;
   Bitrate admitted_demand_ = 0.0;
   std::int64_t accepted_ = 0;
   std::int64_t degrade_admissions_ = 0;
@@ -90,6 +77,5 @@ class AdmissionController {
 };
 
 const char* to_string(AdmissionController::Policy policy);
-const char* to_string(AdmissionController::Decision decision);
 
 }  // namespace poi360::serve

@@ -5,19 +5,13 @@
 #include <stdexcept>
 
 #include "poi360/common/stats.h"
+#include "poi360/common/table.h"
 #include "poi360/runner/batch_runner.h"
 #include "poi360/runner/experiment_spec.h"
-#include "poi360/runner/result_io.h"
 
 namespace poi360::serve {
 
 namespace {
-
-std::string fmt(const char* format, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), format, v);
-  return buf;
-}
 
 FleetPercentiles percentiles_of(const SampleSet& samples) {
   FleetPercentiles p;
@@ -29,15 +23,15 @@ FleetPercentiles percentiles_of(const SampleSet& samples) {
   return p;
 }
 
-std::string percentiles_text(const FleetPercentiles& p, const char* format) {
-  return "p10=" + fmt(format, p.p10) + " p50=" + fmt(format, p.p50) +
-         " p90=" + fmt(format, p.p90) + " p99=" + fmt(format, p.p99);
+std::string percentiles_text(const FleetPercentiles& p, int decimals) {
+  return "p10=" + fmt(p.p10, decimals) + " p50=" + fmt(p.p50, decimals) +
+         " p90=" + fmt(p.p90, decimals) + " p99=" + fmt(p.p99, decimals);
 }
 
-std::string percentiles_json(const FleetPercentiles& p, const char* format) {
-  return "{\"p10\": " + fmt(format, p.p10) + ", \"p50\": " +
-         fmt(format, p.p50) + ", \"p90\": " + fmt(format, p.p90) +
-         ", \"p99\": " + fmt(format, p.p99) + "}";
+std::string percentiles_json(const FleetPercentiles& p, int decimals) {
+  return "{\"p10\": " + fmt(p.p10, decimals) + ", \"p50\": " +
+         fmt(p.p50, decimals) + ", \"p90\": " + fmt(p.p90, decimals) +
+         ", \"p99\": " + fmt(p.p99, decimals) + "}";
 }
 
 }  // namespace
@@ -63,105 +57,53 @@ FleetCell::FleetCell(const FleetConfig& config, int cell_index,
                      TelemetryPlane* plane)
     : config_(config),
       cell_index_(cell_index),
-      cell_(config.cell,
-            Rng(config.seed)
-                .fork(0xF1EE7u + static_cast<std::uint64_t>(cell_index))
-                .engine()()),
-      cross_rng_(Rng(config.seed).fork(0xCB05u).fork(
-          static_cast<std::uint64_t>(cell_index))),
-      plane_(plane),
-      sampler_(config.telemetry.trace_sampling) {
+      cell_(static_cast<std::size_t>(std::max(1, config.sessions_per_cell)),
+            config.telemetry, plane && config.telemetry.tracing_on()),
+      plane_(plane) {
   if (config_.ladder.empty()) {
     throw std::invalid_argument("fleet ladder must not be empty");
   }
-  const bool tracing = plane_ && config_.telemetry.tracing_on();
-  const int n = std::max(1, config_.sessions_per_cell);
-  sessions_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    const FleetRung& rung =
-        config_.ladder[static_cast<std::size_t>(i) % config_.ladder.size()];
-    core::SessionConfig sc = config_.session;
-    sc.network = core::NetworkType::kCellular;
-    sc.rate_control = rung.rate_control;
-    sc.compression = rung.compression;
-    sc.duration = config_.duration;
-    sc.seed = runner::derive_seed(config_.seed, cell_index * n + i);
-    // The shared cell is the only contention source: the private OU load
-    // and explicit multi-user models would double-count the competition.
-    sc.channel.explicit_users = -1;
-    sc.channel.mean_cell_load = 0.0;
-    sc.channel.load_std = 0.0;
-    sc.cell_handle = lte::CellHandle(&cell_, cell_.register_ue(1.0));
-    // Trace sampling is a pure function of the session's derived seed — no
-    // RNG draw, so enabling it cannot perturb the simulation stream.
-    bool traced = false;
-    if (tracing && sampler_.admit(sc.seed)) {
-      sc.trace.enabled = true;
-      sc.trace.capacity = config_.telemetry.trace_sampling.ring_capacity;
-      traced = true;
-    }
-    traced_.push_back(traced ? 1 : 0);
-    rungs_.push_back(to_string(rung));
-    seeds_.push_back(sc.seed);
-    errors_.emplace_back();
-    sessions_.push_back(std::make_unique<core::Session>(sc));
-  }
-  add_cross_traffic(config_.voice);
-  add_cross_traffic(config_.ftp);
+  cell_.share_radio(
+      config_.cell,
+      Rng(config_.seed)
+          .fork(0xF1EE7u + static_cast<std::uint64_t>(cell_index))
+          .engine()(),
+      Rng(config_.seed).fork(0xCB05u).fork(
+          static_cast<std::uint64_t>(cell_index)),
+      sessions(), {config_.voice, config_.ftp});
   if (plane_) register_telemetry();
 }
 
 void FleetCell::register_telemetry() {
   const std::string cell_label = std::to_string(cell_index_);
-  slo_.assign(sessions_.size(), obs::SloTracker(config_.telemetry.slo));
-  frame_cursor_.assign(sessions_.size(), 0);
-  displayed_seen_.assign(sessions_.size(), 0);
-  frozen_frames_.assign(sessions_.size(), 0);
-  mismatched_.assign(sessions_.size(), 0);
-  over_delay_.assign(sessions_.size(), 0);
-  next_publish_ = std::max<SimDuration>(msec(1), config_.telemetry.publish_period);
+  next_publish_ =
+      std::max<SimDuration>(msec(1), config_.telemetry.publish_period);
 
   telemetry_.set_help("fleet.freeze_ratio",
                       "Frozen-frame ratio per (cell, rung) population");
-  telemetry_.set_help("slo.breach",
-                      "SLO objectives newly breached (fast+slow burn over "
-                      "threshold)");
-  // One series per distinct rung label; sessions map onto them cyclically,
+  // One series per distinct rung label among the ladder positions in use,
   // so the series count is bounded by the ladder, not the population.
-  for (std::size_t i = 0; i < sessions_.size(); ++i) {
-    // Linear scan over the few distinct rung labels seen so far.
-    int idx = -1;
-    for (std::size_t j = 0; j < i; ++j) {
-      if (rungs_[j] == rungs_[i]) {
-        idx = rung_index_[j];
-        break;
-      }
+  const std::size_t used = std::min<std::size_t>(
+      config_.ladder.size(), static_cast<std::size_t>(sessions()));
+  for (std::size_t l = 0; l < used; ++l) {
+    const std::string rung = to_string(config_.ladder[l]);
+    std::size_t seen = 0;
+    while (seen < l && to_string(config_.ladder[seen]) != rung) ++seen;
+    if (seen < l) {
+      ladder_rung_.push_back(ladder_rung_[seen]);
+      continue;
     }
-    if (idx < 0) {
-      const obs::Labels labels{{"cell", cell_label}, {"rung", rungs_[i]}};
-      RungSeries series;
-      series.sessions = &telemetry_.gauge("fleet.sessions", labels);
-      series.freeze_ratio = &telemetry_.gauge("fleet.freeze_ratio", labels);
-      series.mismatch_ratio =
-          &telemetry_.gauge("fleet.mismatch_ratio", labels);
-      series.mean_delay_ms = &telemetry_.gauge("fleet.mean_delay_ms", labels);
-      series.displayed = &telemetry_.gauge("fleet.displayed_frames", labels);
-      for (int o = 0; o < obs::kSloObjectives; ++o) {
-        obs::Labels slo_labels = labels;
-        slo_labels.emplace_back(
-            "objective",
-            obs::slo_objective_name(static_cast<obs::SloObjective>(o)));
-        series.slo_breach[o] = &telemetry_.counter("slo.breach", slo_labels);
-        series.slo_recovered[o] =
-            &telemetry_.counter("slo.recovered", slo_labels);
-      }
-      series.delay_hist = &telemetry_.bucket_histogram(
-          "fleet.frame.delay_hist", obs::BucketHistogram::latency_ms_bounds(),
-          labels);
-      idx = static_cast<int>(rung_series_.size());
-      rung_series_.push_back(series);
-    }
-    rung_index_.push_back(idx);
+    const obs::Labels labels{{"cell", cell_label}, {"rung", rung}};
+    RungSeries series;
+    series.population = PopulationSeries::registered(
+        telemetry_, "fleet.frame.delay_hist", labels);
+    series.sessions = &telemetry_.gauge("fleet.sessions", labels);
+    series.freeze_ratio = &telemetry_.gauge("fleet.freeze_ratio", labels);
+    series.mismatch_ratio = &telemetry_.gauge("fleet.mismatch_ratio", labels);
+    series.mean_delay_ms = &telemetry_.gauge("fleet.mean_delay_ms", labels);
+    series.displayed = &telemetry_.gauge("fleet.displayed_frames", labels);
+    ladder_rung_.push_back(rung_series_.size());
+    rung_series_.push_back(series);
   }
   if (config_.telemetry.tracing_on()) {
     const obs::Labels labels{{"cell", cell_label}};
@@ -171,68 +113,34 @@ void FleetCell::register_telemetry() {
   }
 }
 
-FleetCell::~FleetCell() = default;
-
-void FleetCell::add_cross_traffic(const CrossTrafficSpec& spec) {
-  for (int i = 0; i < spec.count; ++i) {
-    CrossSource src;
-    src.ue = cell_.register_ue(std::max(1e-3, spec.weight));
-    src.mean_on = std::max<SimDuration>(msec(10), spec.mean_on);
-    src.mean_off = std::max<SimDuration>(msec(10), spec.mean_off);
-    // Random initial phase, like the cell's background users.
-    const double duty = to_seconds(src.mean_on) /
-                        (to_seconds(src.mean_on) + to_seconds(src.mean_off));
-    src.active = cross_rng_.bernoulli(duty);
-    src.toggle_at = sec_f(cross_rng_.exponential(
-        to_seconds(src.active ? src.mean_on : src.mean_off)));
-    cell_.report_demand(src.ue, src.active ? 1 : 0);
-    cross_.push_back(src);
-  }
-}
-
-void FleetCell::step_cross_traffic(SimTime t) {
-  for (CrossSource& src : cross_) {
-    while (src.toggle_at <= t) {
-      src.active = !src.active;
-      src.toggle_at += std::max<SimDuration>(
-          msec(10), sec_f(cross_rng_.exponential(to_seconds(
-                        src.active ? src.mean_on : src.mean_off))));
-    }
-    cell_.report_demand(src.ue, src.active ? 1 : 0);
-  }
-}
-
 void FleetCell::start() {
-  for (std::size_t i = 0; i < sessions_.size(); ++i) {
-    try {
-      sessions_[i]->start();
-    } catch (const std::exception& e) {
-      errors_[i] = e.what();
-    } catch (...) {
-      errors_[i] = "unknown exception";
-    }
+  const int n = sessions();
+  for (int i = 0; i < n; ++i) {
+    const FleetRung& rung = rung_of(static_cast<std::size_t>(i));
+    ManagedSession::Config mc;
+    mc.id = i;
+    mc.planned_duration = config_.duration;
+    core::SessionConfig& sc = mc.session;
+    sc = config_.session;
+    sc.network = core::NetworkType::kCellular;
+    sc.rate_control = rung.rate_control;
+    sc.compression = rung.compression;
+    sc.duration = config_.duration;
+    sc.seed = runner::derive_seed(config_.seed, cell_index_ * n + i);
+    // The shared cell is the only contention source: the private OU load
+    // and explicit multi-user models would double-count the competition.
+    sc.channel.explicit_users = -1;
+    sc.channel.mean_cell_load = 0.0;
+    sc.channel.load_std = 0.0;
+    sc.cell_handle = cell_.ue_handle(i);
+    cell_.admit(static_cast<std::size_t>(i), std::move(mc), 0,
+                plane_ ? &rung_series_[rung_index(i)].population : nullptr);
   }
-  cell_.commit_demand();
+  cell_.radio().commit_demand();
 }
 
 void FleetCell::advance_to(SimTime t) {
-  // Freeze the quantum's demand snapshot with every session (and the cross
-  // traffic) sitting at master time now_, so the shares each session sees
-  // in (now_, t] do not depend on the order the sessions are stepped in.
-  step_cross_traffic(now_);
-  cell_.commit_demand();
-  cell_.trim(now_);
-  for (std::size_t i = 0; i < sessions_.size(); ++i) {
-    if (!errors_[i].empty()) continue;
-    try {
-      sessions_[i]->advance_until(t);
-    } catch (const std::exception& e) {
-      errors_[i] = e.what();
-    } catch (...) {
-      errors_[i] = "unknown exception";
-    }
-  }
-  now_ = t;
+  cell_.advance_to(t);
   if (plane_ && t >= next_publish_) {
     publish_telemetry(t);
     while (next_publish_ <= t) {
@@ -242,24 +150,7 @@ void FleetCell::advance_to(SimTime t) {
   }
 }
 
-void FleetCell::fold_session_frames(std::size_t i) {
-  const metrics::SessionMetrics& m = sessions_[i]->metrics();
-  const auto& frames = m.frames();
-  const SimDuration freeze_threshold = config_.session.freeze_threshold;
-  const SimDuration delay_target = config_.telemetry.slo.delay_target;
-  obs::BucketHistogram* hist = rung_series_[rung_index_[i]].delay_hist;
-  for (; frame_cursor_[i] < frames.size(); ++frame_cursor_[i]) {
-    const metrics::FrameRecord& f = frames[frame_cursor_[i]];
-    ++displayed_seen_[i];
-    if (f.delay > freeze_threshold) ++frozen_frames_[i];
-    if (f.roi_mismatch) ++mismatched_[i];
-    if (f.delay > delay_target) ++over_delay_[i];
-    hist->observe(to_millis(f.delay));
-  }
-}
-
 void FleetCell::publish_telemetry(SimTime t) {
-  const std::string cell_label = std::to_string(cell_index_);
   struct RungAgg {
     std::int64_t sessions = 0;
     std::int64_t displayed = 0;
@@ -270,34 +161,20 @@ void FleetCell::publish_telemetry(SimTime t) {
   };
   std::vector<RungAgg> agg(rung_series_.size());
 
-  for (std::size_t i = 0; i < sessions_.size(); ++i) {
-    if (!errors_[i].empty()) continue;
-    fold_session_frames(i);
-    const core::Session& session = *sessions_[i];
-    const obs::MetricsRegistry& reg = session.metrics().registry();
-    const std::int64_t lost =
-        reg.counter_value("sender.skipped_frames") +
-        session.observers().receiver->recovery_stats().frames_abandoned;
-    obs::SloSample sample;
-    sample.total = displayed_seen_[i] + lost;
-    sample.frozen = frozen_frames_[i] + lost;
-    sample.mismatched = mismatched_[i];
-    sample.over_delay = over_delay_[i];
-    RungSeries& series = rung_series_[rung_index_[i]];
-    const obs::SloTransitions tr = slo_[i].observe(
-        t, sample, traced_[i] ? sessions_[i]->trace() : nullptr,
-        static_cast<std::int64_t>(i));
-    for (int o = 0; o < obs::kSloObjectives; ++o) {
-      if (tr.breached_now[o]) series.slo_breach[o]->inc();
-      if (tr.recovered_now[o]) series.slo_recovered[o]->inc();
-    }
-    RungAgg& a = agg[rung_index_[i]];
+  std::vector<ServingSlot>& slots = cell_.slots();
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    ServingSlot& slot = slots[i];
+    if (slot.ms.state() == SessionState::kFailed) continue;
+    const std::int64_t lost = cell_.observe_slo(slot, t);
+    RungAgg& a = agg[rung_index(i)];
     ++a.sessions;
-    a.displayed += displayed_seen_[i];
-    a.frozen += frozen_frames_[i];
+    a.displayed += slot.displayed_seen;
+    a.frozen += slot.frozen_frames;
     a.lost += lost;
-    a.mismatched += mismatched_[i];
-    const obs::Histogram* delay_h = reg.find_histogram("frame.delay_ms");
+    a.mismatched += slot.mismatched;
+    const obs::Histogram* delay_h =
+        slot.ms.session()->metrics().registry().find_histogram(
+            "frame.delay_ms");
     if (delay_h) a.delay_sum_ms += delay_h->sum();
   }
 
@@ -320,64 +197,51 @@ void FleetCell::publish_telemetry(SimTime t) {
                         : 0.0);
   }
   if (config_.telemetry.tracing_on()) {
-    const obs::Labels labels{{"cell", cell_label}};
-    telemetry_.counter("fleet.trace.kept", labels).set(sampler_.kept());
+    const obs::Labels labels{{"cell", std::to_string(cell_index_)}};
+    const obs::TraceSampler& sampler = cell_.sampler();
+    telemetry_.counter("fleet.trace.kept", labels).set(sampler.kept());
     telemetry_.counter("fleet.trace.sampled_out", labels)
-        .set(sampler_.sampled_out());
+        .set(sampler.sampled_out());
     telemetry_.counter("fleet.trace.budget_rejected", labels)
-        .set(sampler_.budget_rejected());
+        .set(sampler.budget_rejected());
   }
   plane_->publish(telemetry_);
 }
 
 void FleetCell::finish() {
-  for (std::size_t i = 0; i < sessions_.size(); ++i) {
-    if (!errors_[i].empty()) continue;
-    try {
-      sessions_[i]->finish();
-    } catch (const std::exception& e) {
-      errors_[i] = e.what();
-    } catch (...) {
-      errors_[i] = "unknown exception";
-    }
-  }
-  if (plane_) {
-    publish_telemetry(now_);
-    if (config_.telemetry.tracing_on()) {
-      const int n = std::max(1, config_.sessions_per_cell);
-      for (std::size_t i = 0; i < sessions_.size(); ++i) {
-        if (!traced_[i] || !errors_[i].empty()) continue;
-        const obs::TraceRecorder* trace = sessions_[i]->trace();
-        if (!trace) continue;
-        runner::RunSpec rs;
-        rs.run_id = cell_index_ * n + static_cast<int>(i);
-        rs.experiment = "fleet";
-        rs.params = {{"cell", std::to_string(cell_index_)},
-                     {"slot", std::to_string(i)},
-                     {"rung", rungs_[i]}};
-        rs.seed = seeds_[i];
-        runner::write_trace(
-            config_.telemetry.trace_dir + "/" + runner::trace_file_name(rs),
-            *trace, "fleet/cell=" + std::to_string(cell_index_) +
-                        "/slot=" + std::to_string(i));
-      }
-    }
+  for (ServingSlot& slot : cell_.slots()) slot.ms.drain(cell_.now());
+  if (!plane_) return;
+  publish_telemetry(cell_.now());
+  std::vector<ServingSlot>& slots = cell_.slots();
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    ServingSlot& slot = slots[i];
+    if (!slot.traced || slot.ms.state() == SessionState::kFailed) continue;
+    runner::RunSpec rs;
+    rs.run_id = cell_index_ * sessions() + static_cast<int>(i);
+    rs.experiment = "fleet";
+    rs.params = {{"cell", std::to_string(cell_index_)},
+                 {"slot", std::to_string(i)},
+                 {"rung", to_string(rung_of(i))}};
+    rs.seed = slot.ms.config().session.seed;
+    cell_.export_trace(slot, rs, "fleet/cell=" + std::to_string(cell_index_) +
+                                    "/slot=" + std::to_string(i));
   }
 }
 
 std::vector<FleetSessionResult> FleetCell::results() const {
   std::vector<FleetSessionResult> out;
-  out.reserve(sessions_.size());
-  for (std::size_t i = 0; i < sessions_.size(); ++i) {
+  out.reserve(cell_.slots().size());
+  for (std::size_t i = 0; i < cell_.slots().size(); ++i) {
+    const ManagedSession& ms = cell_.slots()[i].ms;
     FleetSessionResult r;
     r.cell = cell_index_;
     r.index = static_cast<int>(i);
-    r.seed = seeds_[i];
-    r.rung = rungs_[i];
-    r.ok = errors_[i].empty();
-    r.error = errors_[i];
+    r.seed = ms.config().session.seed;
+    r.rung = to_string(rung_of(i));
+    r.ok = ms.state() != SessionState::kFailed && ms.session();
+    r.error = ms.error();
     if (r.ok) {
-      const metrics::SessionMetrics& m = sessions_[i]->metrics();
+      const metrics::SessionMetrics& m = ms.session()->metrics();
       r.displayed_frames = m.displayed_frames();
       r.mean_throughput_mbps = m.mean_throughput() / 1e6;
       r.freeze_ratio = m.freeze_ratio(config_.session.freeze_threshold);
@@ -486,17 +350,17 @@ std::string to_text(const FleetSummary& s) {
   out += "fleet summary: seed=" + std::to_string(s.seed) +
          " cells=" + std::to_string(s.cells) +
          " sessions_per_cell=" + std::to_string(s.sessions_per_cell) +
-         " duration_s=" + fmt("%.0f", to_seconds(s.duration)) +
+         " duration_s=" + fmt(to_seconds(s.duration), 0) +
          " sessions=" + std::to_string(s.sessions.size()) +
          " failed=" + std::to_string(s.failed_sessions) + "\n";
-  out += "  freeze_ratio   : " + percentiles_text(s.freeze, "%.4f") + "\n";
-  out += "  mismatch_ratio : " + percentiles_text(s.mismatch, "%.4f") + "\n";
-  out += "  frame_delay_ms : " + percentiles_text(s.delay_ms, "%.1f") + "\n";
+  out += "  freeze_ratio   : " + percentiles_text(s.freeze, 4) + "\n";
+  out += "  mismatch_ratio : " + percentiles_text(s.mismatch, 4) + "\n";
+  out += "  frame_delay_ms : " + percentiles_text(s.delay_ms, 1) + "\n";
   out += "  throughput     : mean_mbps=" +
-         fmt("%.3f", s.mean_throughput_mbps) +
-         " jain_all=" + fmt("%.4f", s.jain_all) + "\n";
+         fmt(s.mean_throughput_mbps, 3) +
+         " jain_all=" + fmt(s.jain_all, 4) + "\n";
   for (const auto& [rung, jain] : s.jain_by_rung) {
-    out += "  jain[" + rung + "] = " + fmt("%.4f", jain) + "\n";
+    out += "  jain[" + rung + "] = " + fmt(jain, 4) + "\n";
   }
   out += "  per-session (cell slot rung seed shown thpt_mbps freeze "
          "mismatch delay_ms p95_ms psnr_db):\n";
@@ -530,22 +394,22 @@ std::string to_json(const FleetSummary& s) {
   out += "  \"cells\": " + std::to_string(s.cells) + ",\n";
   out += "  \"sessions_per_cell\": " + std::to_string(s.sessions_per_cell) +
          ",\n";
-  out += "  \"duration_s\": " + fmt("%.3f", to_seconds(s.duration)) + ",\n";
+  out += "  \"duration_s\": " + fmt(to_seconds(s.duration), 3) + ",\n";
   out += "  \"failed_sessions\": " + std::to_string(s.failed_sessions) +
          ",\n";
-  out += "  \"freeze_ratio\": " + percentiles_json(s.freeze, "%.6f") + ",\n";
-  out += "  \"mismatch_ratio\": " + percentiles_json(s.mismatch, "%.6f") +
+  out += "  \"freeze_ratio\": " + percentiles_json(s.freeze, 6) + ",\n";
+  out += "  \"mismatch_ratio\": " + percentiles_json(s.mismatch, 6) +
          ",\n";
-  out += "  \"frame_delay_ms\": " + percentiles_json(s.delay_ms, "%.3f") +
+  out += "  \"frame_delay_ms\": " + percentiles_json(s.delay_ms, 3) +
          ",\n";
   out += "  \"mean_throughput_mbps\": " +
-         fmt("%.6f", s.mean_throughput_mbps) + ",\n";
-  out += "  \"jain_all\": " + fmt("%.6f", s.jain_all) + ",\n";
+         fmt(s.mean_throughput_mbps, 6) + ",\n";
+  out += "  \"jain_all\": " + fmt(s.jain_all, 6) + ",\n";
   out += "  \"jain_by_rung\": {";
   for (std::size_t i = 0; i < s.jain_by_rung.size(); ++i) {
     if (i) out += ", ";
     out += "\"" + s.jain_by_rung[i].first +
-           "\": " + fmt("%.6f", s.jain_by_rung[i].second);
+           "\": " + fmt(s.jain_by_rung[i].second, 6);
   }
   out += "},\n";
   out += "  \"sessions\": [\n";
@@ -557,12 +421,12 @@ std::string to_json(const FleetSummary& s) {
            ", \"seed\": " + std::to_string(r.seed) +
            ", \"ok\": " + (r.ok ? "true" : "false") +
            ", \"displayed\": " + std::to_string(r.displayed_frames) +
-           ", \"thpt_mbps\": " + fmt("%.6f", r.mean_throughput_mbps) +
-           ", \"freeze\": " + fmt("%.6f", r.freeze_ratio) +
-           ", \"mismatch\": " + fmt("%.6f", r.mismatch_ratio) +
-           ", \"delay_ms\": " + fmt("%.3f", r.mean_delay_ms) +
-           ", \"p95_ms\": " + fmt("%.3f", r.p95_delay_ms) +
-           ", \"psnr_db\": " + fmt("%.3f", r.mean_roi_psnr_db) + "}";
+           ", \"thpt_mbps\": " + fmt(r.mean_throughput_mbps, 6) +
+           ", \"freeze\": " + fmt(r.freeze_ratio, 6) +
+           ", \"mismatch\": " + fmt(r.mismatch_ratio, 6) +
+           ", \"delay_ms\": " + fmt(r.mean_delay_ms, 3) +
+           ", \"p95_ms\": " + fmt(r.p95_delay_ms, 3) +
+           ", \"psnr_db\": " + fmt(r.mean_roi_psnr_db, 3) + "}";
     out += (i + 1 < s.sessions.size()) ? ",\n" : "\n";
   }
   out += "  ]\n";

@@ -6,14 +6,11 @@
 #include <utility>
 #include <vector>
 
-#include "poi360/common/rng.h"
 #include "poi360/common/time.h"
 #include "poi360/core/config.h"
-#include "poi360/core/session.h"
 #include "poi360/lte/shared_cell.h"
 #include "poi360/obs/metrics_registry.h"
-#include "poi360/obs/sampling.h"
-#include "poi360/obs/slo.h"
+#include "poi360/serve/serving_cell.h"
 #include "poi360/serve/telemetry.h"
 
 // Cell-scale fleet simulation: N first-class POI360 sessions per cell, every
@@ -35,17 +32,6 @@ struct FleetRung {
 
 /// "FBCC/POI360", "GCC/Conduit", ... — the fleet report's population key.
 std::string to_string(const FleetRung& rung);
-
-/// Lightweight heterogeneous cross-traffic: an on/off process that toggles
-/// a registered UE's demand without a full sender/receiver stack. CBR voice
-/// (short talk spurts, small PF weight) and FTP bulk (long transfers, full
-/// weight) are the two stock profiles.
-struct CrossTrafficSpec {
-  int count = 0;
-  double weight = 1.0;
-  SimDuration mean_on = sec(8);
-  SimDuration mean_off = sec(12);
-};
 
 struct FleetConfig {
   int cells = 2;
@@ -134,7 +120,8 @@ std::string to_json(const FleetSummary& summary);
 /// 0.0 for an empty set.
 double jain_index(const std::vector<double>& xs);
 
-/// One cell of the fleet: a SharedCell, its N full sessions and its
+/// One cell of the fleet: a ServingCell on one shared radio holding N full
+/// sessions (admitted at t = 0, slot i on rung i % ladder size) and the
 /// cross-traffic sources, advanced in lockstep on the master timeline.
 /// Public (rather than a FleetDriver internal) so the perf gate can price
 /// the steady-state per-session step cost directly.
@@ -146,77 +133,52 @@ class FleetCell {
   /// sampling when a trace_dir is set.
   FleetCell(const FleetConfig& config, int cell_index,
             TelemetryPlane* plane = nullptr);
-  ~FleetCell();
 
   FleetCell(const FleetCell&) = delete;
   FleetCell& operator=(const FleetCell&) = delete;
 
+  /// Admits and starts every session, then commits the first demand
+  /// snapshot.
   void start();
-  /// Advances every session to master time `t` (one quantum slice): steps
-  /// the cross-traffic processes, commits the demand snapshot, trims the
-  /// background timeline, then advances sessions in slot order.
+  /// Advances every session to master time `t` (one quantum slice).
   void advance_to(SimTime t);
   void finish();
 
   std::vector<FleetSessionResult> results() const;
-  lte::SharedCell& shared_cell() { return cell_; }
-  int sessions() const { return static_cast<int>(sessions_.size()); }
-  const obs::MetricsRegistry& telemetry_registry() const { return telemetry_; }
-  const obs::TraceSampler& trace_sampler() const { return sampler_; }
+  lte::SharedCell& shared_cell() { return cell_.radio(); }
+  int sessions() const { return static_cast<int>(cell_.slots().size()); }
 
  private:
-  struct CrossSource {
-    int ue = 0;
-    bool active = false;
-    SimTime toggle_at = 0;
-    SimDuration mean_on = 0;
-    SimDuration mean_off = 0;
-  };
-
   /// Per-rung cached telemetry series (stable registry references).
   struct RungSeries {
+    PopulationSeries population;
     obs::Gauge* sessions = nullptr;
     obs::Gauge* freeze_ratio = nullptr;
     obs::Gauge* mismatch_ratio = nullptr;
     obs::Gauge* mean_delay_ms = nullptr;
     obs::Gauge* displayed = nullptr;
-    obs::Counter* slo_breach[obs::kSloObjectives] = {};
-    obs::Counter* slo_recovered[obs::kSloObjectives] = {};
-    obs::BucketHistogram* delay_hist = nullptr;
   };
 
-  void add_cross_traffic(const CrossTrafficSpec& spec);
-  void step_cross_traffic(SimTime t);
+  const FleetRung& rung_of(std::size_t slot) const {
+    return config_.ladder[slot % config_.ladder.size()];
+  }
+  /// The slot's index into rung_series_ (telemetry on only).
+  std::size_t rung_index(std::size_t slot) const {
+    return ladder_rung_[slot % config_.ladder.size()];
+  }
   void register_telemetry();
-  /// Folds new frames of session `i` into its SLO counts + rung histogram.
-  void fold_session_frames(std::size_t i);
   /// SLO pass + rung aggregates + publish to the plane.
   void publish_telemetry(SimTime t);
 
   FleetConfig config_;
   int cell_index_ = 0;
-  lte::SharedCell cell_;
-  Rng cross_rng_;
-  std::vector<std::unique_ptr<core::Session>> sessions_;
-  std::vector<std::string> rungs_;
-  std::vector<std::uint64_t> seeds_;
-  std::vector<std::string> errors_;  // non-empty = session failed
-  std::vector<CrossSource> cross_;
-  SimTime now_ = 0;
+  ServingCell cell_;
 
   // Telemetry plane (all empty/idle when plane_ is null).
   TelemetryPlane* plane_ = nullptr;
   obs::MetricsRegistry telemetry_;
-  obs::TraceSampler sampler_;
-  std::vector<int> rung_index_;          ///< session -> rung series index
   std::vector<RungSeries> rung_series_;  ///< one per distinct rung label
-  std::vector<obs::SloTracker> slo_;
-  std::vector<std::size_t> frame_cursor_;
-  std::vector<std::int64_t> displayed_seen_;
-  std::vector<std::int64_t> frozen_frames_;
-  std::vector<std::int64_t> mismatched_;
-  std::vector<std::int64_t> over_delay_;
-  std::vector<char> traced_;
+  std::vector<std::size_t> ladder_rung_;  ///< ladder position -> series
   SimTime next_publish_ = 0;
 };
 
@@ -229,8 +191,6 @@ class FleetDriver {
 
   /// Call exactly once.
   FleetSummary run();
-
-  const FleetConfig& config() const { return config_; }
 
   /// Present only when config.telemetry turns the plane on. The plane (and
   /// its /metrics socket) lives until the driver is destroyed, so scrapes

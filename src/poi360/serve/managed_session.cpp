@@ -4,24 +4,6 @@
 
 namespace poi360::serve {
 
-const char* to_string(SessionState state) {
-  switch (state) {
-    case SessionState::kIdle:
-      return "idle";
-    case SessionState::kAdmitted:
-      return "admitted";
-    case SessionState::kActive:
-      return "active";
-    case SessionState::kDraining:
-      return "draining";
-    case SessionState::kClosed:
-      return "closed";
-    case SessionState::kFailed:
-      return "failed";
-  }
-  return "?";
-}
-
 void ManagedSession::admit(Config config, SimTime now) {
   if (state_ != SessionState::kIdle) {
     throw std::logic_error("ManagedSession::admit on occupied slot");
@@ -36,33 +18,41 @@ void ManagedSession::admit(Config config, SimTime now) {
   state_ = SessionState::kAdmitted;
 }
 
+template <typename Step>
+bool ManagedSession::contain(Step&& step) {
+  try {
+    step();
+    return true;
+  } catch (const std::exception& e) {
+    error_ = e.what();
+  } catch (...) {
+    error_ = "unknown exception";
+  }
+  state_ = SessionState::kFailed;
+  return false;
+}
+
 void ManagedSession::activate(SimTime now) {
   if (state_ != SessionState::kAdmitted) {
     throw std::logic_error("ManagedSession::activate requires kAdmitted");
   }
-  try {
-    session_ = std::make_unique<core::Session>(config_.session);
-    session_->start();
-    activated_at_ = now;
-    last_progress_at_ = now;
-    state_ = SessionState::kActive;
-  } catch (const std::exception& e) {
-    error_ = e.what();
-    state_ = SessionState::kFailed;
+  if (!contain([&] {
+        session_ = std::make_unique<core::Session>(config_.session);
+        session_->start();
+      })) {
+    return;
   }
+  activated_at_ = now;
+  last_progress_at_ = now;
+  state_ = SessionState::kActive;
 }
 
 void ManagedSession::advance_until(SimTime t) {
   if (state_ != SessionState::kActive) return;
-  try {
-    // The inner session runs on its own private timeline; advancing it to
-    // the master clock in slices is what interleaves many sessions on one
-    // logical timeline without sharing any mutable state between them.
-    session_->advance_until(t - activated_at_);
-  } catch (const std::exception& e) {
-    error_ = e.what();
-    state_ = SessionState::kFailed;
-  }
+  // The inner session runs on its own private timeline; advancing it to the
+  // master clock in slices is what interleaves many sessions on one logical
+  // timeline without sharing any mutable state between them.
+  contain([&] { session_->advance_until(t - activated_at_); });
 }
 
 void ManagedSession::drain(SimTime now) { close(now, /*forced=*/false); }
@@ -75,15 +65,7 @@ void ManagedSession::close(SimTime now, bool forced) {
   }
   state_ = SessionState::kDraining;
   force_drained_ = forced;
-  if (session_) {
-    try {
-      session_->finish();
-    } catch (const std::exception& e) {
-      error_ = e.what();
-      state_ = SessionState::kFailed;
-      return;
-    }
-  }
+  if (session_ && !contain([&] { session_->finish(); })) return;
   (void)now;
   state_ = SessionState::kClosed;
 }

@@ -24,12 +24,11 @@ enum class SessionState {
   kFailed,    ///< inner session threw; error retained
 };
 
-const char* to_string(SessionState state);
-
 /// A `core::Session` promoted to a first-class serving object: explicit
 /// lifecycle states, incremental advancement on a master timeline, and a
 /// no-progress watchdog that detects stuck sessions so the soak driver can
-/// force-drain them instead of wedging the run.
+/// force-drain them instead of wedging the run. The one slot type of
+/// serve::ServingCell, for soak churn and fleet populations alike.
 ///
 /// Progress is read from the session's MetricsRegistry frame-lifecycle
 /// signals: a session counts as alive while frames keep displaying at the
@@ -59,8 +58,8 @@ class ManagedSession {
   void activate(SimTime now);
 
   /// Advances the inner timeline to `t`. An exception from the inner
-  /// session transitions to kFailed (error retained) instead of unwinding
-  /// the whole soak run.
+  /// session, here or in activate/drain, moves the slot to kFailed with the
+  /// error retained instead of unwinding the whole serving run.
   void advance_until(SimTime t);
 
   /// Graceful close: finish() the inner metrics, kActive -> kClosed.
@@ -89,7 +88,6 @@ class ManagedSession {
   std::int64_t id() const { return config_.id; }
   const Config& config() const { return config_; }
   SimTime admitted_at() const { return admitted_at_; }
-  SimTime activated_at() const { return activated_at_; }
   /// Scheduled end-of-call time (valid once active).
   SimTime drain_deadline() const {
     return activated_at_ + config_.planned_duration;
@@ -102,6 +100,10 @@ class ManagedSession {
 
  private:
   void close(SimTime now, bool forced);
+  /// Runs `step`; on any exception records its text ("unknown exception"
+  /// for a non-std one), moves to kFailed and returns false.
+  template <typename Step>
+  bool contain(Step&& step);
 
   SessionState state_ = SessionState::kIdle;
   Config config_{};

@@ -2,23 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
+#include "poi360/common/table.h"
 #include "poi360/runner/experiment_spec.h"
-#include "poi360/runner/result_io.h"
 
 namespace poi360::serve {
-
-namespace {
-
-std::string fmt(const char* format, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), format, v);
-  return buf;
-}
-
-}  // namespace
 
 SoakDriver::SoakDriver(SoakConfig config)
     : config_(std::move(config)),
@@ -26,9 +15,10 @@ SoakDriver::SoakDriver(SoakConfig config)
       durations_rng_(Rng(config_.seed).fork(0xD0A7)),
       admission_(config_.admission, Rng(config_.seed).fork(0xCE11).engine()()),
       snapshots_(std::max<std::size_t>(1, config_.snapshot_window)),
-      slots_(static_cast<std::size_t>(std::max(1, config_.slots))) {
-  free_slots_.reserve(slots_.size());
-  for (std::size_t i = slots_.size(); i > 0; --i) {
+      cell_(static_cast<std::size_t>(std::max(1, config_.slots)),
+            config_.telemetry, config_.telemetry.tracing_on()) {
+  free_slots_.reserve(cell_.slots().size());
+  for (std::size_t i = cell_.slots().size(); i > 0; --i) {
     free_slots_.push_back(static_cast<std::uint32_t>(i - 1));
   }
 
@@ -60,29 +50,24 @@ SoakDriver::SoakDriver(SoakConfig config)
 
 void SoakDriver::register_telemetry() {
   const TelemetryConfig& t = config_.telemetry;
-  sampler_ = obs::TraceSampler(t.trace_sampling);
   if (!t.telemetry_on()) return;
 
   // Same bounded-memory contract as the serve.* block above: every labeled
   // series is registered here, once, and the cached references are the only
   // write path afterwards.
   plane_ = std::make_unique<TelemetryPlane>(t);
-  registry_.set_help("slo.breach",
-                     "SLO objectives newly breached (fast+slow burn over "
-                     "threshold)");
+  series_ =
+      PopulationSeries::registered(registry_, "serve.frame.delay_hist", {});
   registry_.set_help("slo.recovered",
                      "SLO objectives recovered (both burn rates back under "
                      "threshold)");
   registry_.set_help("serve.frame.delay_hist",
                      "End-to-end frame delay distribution (ms)");
   for (int o = 0; o < obs::kSloObjectives; ++o) {
-    const obs::Labels labels{
-        {"objective",
-         obs::slo_objective_name(static_cast<obs::SloObjective>(o))}};
-    slo_breach_[o] = &registry_.counter("slo.breach", labels);
-    slo_recovered_[o] = &registry_.counter("slo.recovered", labels);
-    slo_breached_sessions_[o] =
-        &registry_.gauge("slo.breached_sessions", labels);
+    slo_breached_sessions_[o] = &registry_.gauge(
+        "slo.breached_sessions",
+        {{"objective",
+          obs::slo_objective_name(static_cast<obs::SloObjective>(o))}});
   }
   slo_evaluations_ = &registry_.counter("slo.evaluations");
   static constexpr const char* kCloseKinds[] = {"departure", "watchdog",
@@ -91,8 +76,6 @@ void SoakDriver::register_telemetry() {
     closed_by_kind_[k] =
         &registry_.counter("serve.sessions.closed", {{"kind", kCloseKinds[k]}});
   }
-  delay_hist_ = &registry_.bucket_histogram(
-      "serve.frame.delay_hist", obs::BucketHistogram::latency_ms_bounds());
   freeze_hist_ = &registry_.bucket_histogram(
       "serve.session.freeze_ratio_hist", obs::BucketHistogram::ratio_bounds());
   if (t.tracing_on()) {
@@ -120,11 +103,12 @@ SoakSummary SoakDriver::run() {
 
   sim_.run_until(config_.duration);
 
-  // Shutdown: every session still live at the horizon is drained cleanly —
-  // a soak run never ends with sessions holding slots.
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (!slots_[i].ms.live()) continue;
-    slots_[i].ms.advance_until(config_.duration);
+  // Shutdown: every session still holding a slot at the horizon is drained
+  // cleanly (one that fails on this last advance closes as failed) — a soak
+  // run never ends with sessions holding slots.
+  cell_.advance_to(config_.duration);
+  for (std::size_t i = 0; i < cell_.slots().size(); ++i) {
+    if (cell_.slots()[i].ms.state() == SessionState::kIdle) continue;
     close_slot(i, CloseKind::kShutdown);
   }
   update_gauges();
@@ -185,7 +169,7 @@ void SoakDriver::on_arrival() {
     // arrival — every active POI360 session steps one mode conservative,
     // shrinking its footprint (the feedback-guard path reused on purpose).
     registry_.counter("serve.admission.degrade_admissions").inc();
-    for (Slot& other : slots_) {
+    for (ServingSlot& other : cell_.slots()) {
       if (other.ms.state() != SessionState::kActive) continue;
       other.ms.session()->nudge_conservative();
       registry_.counter("serve.admission.degrade_nudges").inc();
@@ -213,39 +197,16 @@ void SoakDriver::on_arrival() {
 
   const std::size_t index = free_slots_.back();
   free_slots_.pop_back();
-  Slot& slot = slots_[index];
-
-  if (config_.telemetry.tracing_on()) {
-    // Keep/drop is a pure function of the derived per-session seed — the
-    // same contract BatchRunner uses — so the sampled set is identical for
-    // any pool size or arrival interleaving.
-    if (sampler_.admit(
-            runner::derive_seed(config_.seed, static_cast<int>(id)))) {
-      mc.session.trace.enabled = true;
-      mc.session.trace.capacity = config_.telemetry.trace_sampling.ring_capacity;
-      slot.traced = true;
-    }
-    if (trace_kept_) trace_kept_->set(sampler_.kept());
-    if (trace_sampled_out_) trace_sampled_out_->set(sampler_.sampled_out());
-    if (trace_budget_rejected_) {
-      trace_budget_rejected_->set(sampler_.budget_rejected());
-    }
+  ServingSlot& slot = cell_.admit(index, std::move(mc), now,
+                                  plane_ ? &series_ : nullptr);
+  if (trace_kept_) {
+    trace_kept_->set(cell_.sampler().kept());
+    trace_sampled_out_->set(cell_.sampler().sampled_out());
+    trace_budget_rejected_->set(cell_.sampler().budget_rejected());
   }
-  if (config_.telemetry.telemetry_on()) {
-    slot.slo = obs::SloTracker(config_.telemetry.slo);
-    slot.frame_cursor = 0;
-    slot.displayed_seen = 0;
-    slot.frozen_frames = 0;
-    slot.mismatched = 0;
-    slot.over_delay = 0;
-  }
-
-  slot.ms.admit(std::move(mc), now);
   admission_.on_admitted(demand);
   ++live_;
   peak_concurrent_ = std::max(peak_concurrent_, live_);
-
-  slot.ms.activate(now);
   if (slot.ms.state() == SessionState::kFailed) {
     close_slot(index, CloseKind::kFailed);
     return;
@@ -258,7 +219,7 @@ void SoakDriver::on_arrival() {
 
 void SoakDriver::on_departure(std::size_t slot_index,
                               std::uint64_t generation) {
-  Slot& slot = slots_[slot_index];
+  ServingSlot& slot = cell_.slots()[slot_index];
   // The watchdog (or a failure) may have recycled this slot already; the
   // generation stamp keeps the stale departure from draining a stranger.
   if (slot.generation != generation || !slot.ms.live()) return;
@@ -267,11 +228,9 @@ void SoakDriver::on_departure(std::size_t slot_index,
 }
 
 void SoakDriver::on_advance_tick() {
-  const SimTime now = sim_.now();
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i].ms.state() != SessionState::kActive) continue;
-    slots_[i].ms.advance_until(now);
-    if (slots_[i].ms.state() == SessionState::kFailed) {
+  cell_.advance_to(sim_.now());
+  for (std::size_t i = 0; i < cell_.slots().size(); ++i) {
+    if (cell_.slots()[i].ms.state() == SessionState::kFailed) {
       close_slot(i, CloseKind::kFailed);
     }
   }
@@ -279,9 +238,8 @@ void SoakDriver::on_advance_tick() {
 
 void SoakDriver::on_watchdog_tick() {
   const SimTime now = sim_.now();
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i].ms.state() != SessionState::kActive) continue;
-    if (slots_[i].ms.observe_stuck(now)) {
+  for (std::size_t i = 0; i < cell_.slots().size(); ++i) {
+    if (cell_.slots()[i].ms.observe_stuck(now)) {
       close_slot(i, CloseKind::kWatchdog);
     }
   }
@@ -297,51 +255,14 @@ void SoakDriver::on_snapshot_tick() {
   snapshots_.push(Snapshot{sim_.now(), std::move(text)});
 }
 
-void SoakDriver::fold_slot_frames(Slot& slot) {
-  const core::Session* session = slot.ms.session();
-  if (!session) return;
-  const metrics::SessionMetrics& m = session->metrics();
-  const auto& frames = m.frames();
-  const SimDuration freeze_threshold = slot.ms.config().session.freeze_threshold;
-  const SimDuration delay_target = config_.telemetry.slo.delay_target;
-  for (; slot.frame_cursor < frames.size(); ++slot.frame_cursor) {
-    const metrics::FrameRecord& f = frames[slot.frame_cursor];
-    ++slot.displayed_seen;
-    if (f.delay > freeze_threshold) ++slot.frozen_frames;
-    if (f.roi_mismatch) ++slot.mismatched;
-    if (f.delay > delay_target) ++slot.over_delay;
-    delay_hist_->observe(to_millis(f.delay));
-  }
-}
-
 void SoakDriver::observe_slo() {
-  if (!config_.telemetry.telemetry_on()) return;
-  const SimTime now = sim_.now();
+  if (!plane_) return;
   int breached[obs::kSloObjectives] = {};
-  for (Slot& slot : slots_) {
+  for (ServingSlot& slot : cell_.slots()) {
     if (slot.ms.state() != SessionState::kActive) continue;
-    fold_slot_frames(slot);
-    const core::Session* session = slot.ms.session();
-    if (!session) continue;
-    const obs::MetricsRegistry& reg = session->metrics().registry();
-    const std::int64_t lost =
-        reg.counter_value("sender.skipped_frames") +
-        session->observers().receiver->recovery_stats().frames_abandoned;
-    obs::SloSample sample;
-    sample.total = slot.displayed_seen + lost;
-    sample.frozen = slot.frozen_frames + lost;
-    sample.mismatched = slot.mismatched;
-    sample.over_delay = slot.over_delay;
+    cell_.observe_slo(slot, sim_.now());
     slo_evaluations_->inc();
-    // Breach/recovery instants land in the session's own trace when it was
-    // sampled, correlated by arrival id.
-    obs::TraceRecorder* trace =
-        slot.traced ? slot.ms.session()->trace() : nullptr;
-    const obs::SloTransitions tr =
-        slot.slo.observe(now, sample, trace, slot.ms.id());
     for (int o = 0; o < obs::kSloObjectives; ++o) {
-      if (tr.breached_now[o]) slo_breach_[o]->inc();
-      if (tr.recovered_now[o]) slo_recovered_[o]->inc();
       if (slot.slo.status().breached[o]) ++breached[o];
     }
   }
@@ -356,7 +277,7 @@ void SoakDriver::mark_warmup() {
 }
 
 void SoakDriver::close_slot(std::size_t slot_index, CloseKind kind) {
-  Slot& slot = slots_[slot_index];
+  ServingSlot& slot = cell_.slots()[slot_index];
   ManagedSession& ms = slot.ms;
   const SimTime now = sim_.now();
   switch (kind) {
@@ -383,38 +304,26 @@ void SoakDriver::close_slot(std::size_t slot_index, CloseKind kind) {
   }
 
   harvest(ms);
-  close_slot_telemetry(slot, kind);
+  if (plane_) {
+    closed_by_kind_[static_cast<int>(kind)]->inc();
+    cell_.fold_frames(slot);  // consume the tail since the last snapshot tick
+    if (ms.session()) {
+      freeze_hist_->observe(ms.session()->metrics().freeze_ratio(
+          ms.config().session.freeze_threshold));
+    }
+  }
+  if (slot.traced) {
+    runner::RunSpec rs;
+    rs.run_id = static_cast<int>(ms.id());
+    rs.experiment = "soak";
+    rs.seed = ms.config().session.seed;
+    cell_.export_trace(slot, rs, "soak#" + std::to_string(ms.id()));
+  }
   admission_.on_released(config_.session.initial_rate);
   --live_;
   ++slot.generation;  // invalidates the pending departure event, if any
   ms.release();
   free_slots_.push_back(static_cast<std::uint32_t>(slot_index));
-}
-
-void SoakDriver::close_slot_telemetry(Slot& slot, CloseKind kind) {
-  if (config_.telemetry.telemetry_on()) {
-    closed_by_kind_[static_cast<int>(kind)]->inc();
-    fold_slot_frames(slot);  // consume the tail since the last snapshot tick
-    const core::Session* session = slot.ms.session();
-    if (session) {
-      freeze_hist_->observe(session->metrics().freeze_ratio(
-          slot.ms.config().session.freeze_threshold));
-    }
-  }
-  if (slot.traced) {
-    const core::Session* session = slot.ms.session();
-    if (session && session->trace()) {
-      runner::RunSpec rs;
-      rs.run_id = static_cast<int>(slot.ms.id());
-      rs.experiment = "soak";
-      rs.seed = slot.ms.config().session.seed;
-      runner::write_trace(
-          config_.telemetry.trace_dir + "/" + runner::trace_file_name(rs),
-          *session->trace(), "soak#" + std::to_string(slot.ms.id()));
-    }
-    sampler_.release();
-    slot.traced = false;
-  }
 }
 
 void SoakDriver::harvest(const ManagedSession& ms) {
@@ -476,7 +385,7 @@ SoakSummary SoakDriver::summarize() const {
   s.failed = registry_.counter_value("serve.sessions.failed");
   s.live_at_end = live_;
 
-  s.slots = static_cast<int>(slots_.size());
+  s.slots = static_cast<int>(cell_.slots().size());
   s.peak_concurrent = peak_concurrent_;
   s.pool_high_water_warmup = pool_high_water_warmup_;
   s.pool_high_water_end = peak_concurrent_;
@@ -505,7 +414,7 @@ SoakSummary SoakDriver::summarize() const {
 std::string to_text(const SoakSummary& s) {
   std::string out;
   out += "soak summary: seed=" + std::to_string(s.seed) +
-         " duration_s=" + fmt("%.0f", to_seconds(s.duration)) +
+         " duration_s=" + fmt(to_seconds(s.duration), 0) +
          " policy=" + s.policy + "\n";
   out += "  churn    : arrivals=" + std::to_string(s.arrivals) +
          " accepted=" + std::to_string(s.accepted) +
@@ -529,8 +438,8 @@ std::string to_text(const SoakSummary& s) {
          " skipped=" + std::to_string(s.frames_skipped) +
          " abandoned=" + std::to_string(s.frames_abandoned) +
          " frozen=" + std::to_string(s.frames_frozen) +
-         " freeze_ratio=" + fmt("%.6f", s.freeze_ratio) +
-         " mean_delay_ms=" + fmt("%.3f", s.mean_frame_delay_ms) + "\n";
+         " freeze_ratio=" + fmt(s.freeze_ratio, 6) +
+         " mean_delay_ms=" + fmt(s.mean_frame_delay_ms, 3) + "\n";
   out += "  degrade  : nudges=" + std::to_string(s.degrade_nudges) + "\n";
   out += "  snapshots: taken=" + std::to_string(s.snapshots_taken) +
          " retained=" + std::to_string(s.snapshots_retained) + "\n";
@@ -541,7 +450,7 @@ std::string to_json(const SoakSummary& s) {
   std::string out = "{\n";
   out += "  \"schema\": \"poi360.soak.v1\",\n";
   out += "  \"seed\": " + std::to_string(s.seed) + ",\n";
-  out += "  \"duration_s\": " + fmt("%.3f", to_seconds(s.duration)) + ",\n";
+  out += "  \"duration_s\": " + fmt(to_seconds(s.duration), 3) + ",\n";
   out += "  \"policy\": \"" + std::string(s.policy) + "\",\n";
   out += "  \"arrivals\": " + std::to_string(s.arrivals) + ",\n";
   out += "  \"accepted\": " + std::to_string(s.accepted) + ",\n";
@@ -574,8 +483,8 @@ std::string to_json(const SoakSummary& s) {
   out += "  \"frames_abandoned\": " + std::to_string(s.frames_abandoned) +
          ",\n";
   out += "  \"frames_frozen\": " + std::to_string(s.frames_frozen) + ",\n";
-  out += "  \"freeze_ratio\": " + fmt("%.6f", s.freeze_ratio) + ",\n";
-  out += "  \"mean_frame_delay_ms\": " + fmt("%.3f", s.mean_frame_delay_ms) +
+  out += "  \"freeze_ratio\": " + fmt(s.freeze_ratio, 6) + ",\n";
+  out += "  \"mean_frame_delay_ms\": " + fmt(s.mean_frame_delay_ms, 3) +
          ",\n";
   out += "  \"snapshots_taken\": " + std::to_string(s.snapshots_taken) + ",\n";
   out += "  \"snapshots_retained\": " + std::to_string(s.snapshots_retained) +

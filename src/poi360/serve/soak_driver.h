@@ -14,6 +14,7 @@
 #include "poi360/obs/slo.h"
 #include "poi360/serve/admission.h"
 #include "poi360/serve/managed_session.h"
+#include "poi360/serve/serving_cell.h"
 #include "poi360/serve/telemetry.h"
 #include "poi360/sim/simulator.h"
 
@@ -118,11 +119,11 @@ struct SoakSummary {
 std::string to_text(const SoakSummary& summary);
 std::string to_json(const SoakSummary& summary);
 
-/// Soak-mode serving harness: many overlapping ManagedSessions on one
-/// master event timeline, churned by Poisson arrivals and geometric call
-/// durations, gated by the AdmissionController, watched by the per-session
-/// no-progress watchdog, and observed through periodic Prometheus-style
-/// registry snapshots in a rolling window.
+/// Soak-mode serving harness: one ServingCell on private radios whose slots
+/// are driven from one master event timeline, churned by Poisson arrivals
+/// and geometric call durations, gated by the AdmissionController, watched
+/// by the per-session no-progress watchdog, and observed through periodic
+/// Prometheus-style registry snapshots in a rolling window.
 ///
 /// Steady-state bookkeeping is allocation-free: the slot pool, its free
 /// list, and every serve.* registry entry are preallocated in the
@@ -142,25 +143,11 @@ class SoakDriver {
   const TelemetryPlane* telemetry_plane() const { return plane_.get(); }
   /// Actual /metrics port, or -1 when no server is running.
   int metrics_port() const { return plane_ ? plane_->metrics_port() : -1; }
-  const obs::TraceSampler& trace_sampler() const { return sampler_; }
+  const obs::TraceSampler& trace_sampler() const { return cell_.sampler(); }
 
   int live_sessions() const { return live_; }
-  int peak_concurrent() const { return peak_concurrent_; }
-  SimTime now() const { return sim_.now(); }
 
  private:
-  struct Slot {
-    ManagedSession ms;
-    std::uint64_t generation = 0;  ///< guards stale departure events
-    // Telemetry-plane state, touched only when config.telemetry is on.
-    obs::SloTracker slo{};
-    std::size_t frame_cursor = 0;   ///< frames already folded into SLO counts
-    std::int64_t displayed_seen = 0;
-    std::int64_t frozen_frames = 0;
-    std::int64_t mismatched = 0;
-    std::int64_t over_delay = 0;
-    bool traced = false;  ///< sampled: recorder on, exported at close
-  };
   enum class CloseKind { kDeparture, kWatchdog, kShutdown, kFailed };
 
   void schedule_next_arrival();
@@ -178,12 +165,8 @@ class SoakDriver {
 
   // Telemetry plane (no-ops when config.telemetry is off).
   void register_telemetry();
-  /// Folds frames past the slot's cursor into its cumulative SLO counts and
-  /// the delay bucket histogram.
-  void fold_slot_frames(Slot& slot);
   /// Evaluates every active session's SLO trackers (snapshot tick).
   void observe_slo();
-  void close_slot_telemetry(Slot& slot, CloseKind kind);
 
   SoakConfig config_;
   sim::Simulator sim_;
@@ -193,7 +176,7 @@ class SoakDriver {
   obs::MetricsRegistry registry_;
   RingBuffer<Snapshot> snapshots_;
 
-  std::vector<Slot> slots_;
+  ServingCell cell_;  ///< the slot pool, on private radios
   std::vector<std::uint32_t> free_slots_;
   int live_ = 0;
   int peak_concurrent_ = 0;
@@ -207,13 +190,10 @@ class SoakDriver {
   // Telemetry plane. Cached stable series references (the labeled-family
   // hot-path contract): never re-looked-up after construction.
   std::unique_ptr<TelemetryPlane> plane_;
-  obs::TraceSampler sampler_;
-  obs::Counter* slo_breach_[obs::kSloObjectives] = {};
-  obs::Counter* slo_recovered_[obs::kSloObjectives] = {};
+  PopulationSeries series_;  ///< the whole pool is one population
   obs::Gauge* slo_breached_sessions_[obs::kSloObjectives] = {};
   obs::Counter* slo_evaluations_ = nullptr;
   obs::Counter* closed_by_kind_[4] = {};  ///< indexed by CloseKind
-  obs::BucketHistogram* delay_hist_ = nullptr;
   obs::BucketHistogram* freeze_hist_ = nullptr;
   obs::Counter* trace_kept_ = nullptr;
   obs::Counter* trace_sampled_out_ = nullptr;

@@ -1,8 +1,8 @@
 // Fleet-layer tests: the SharedCell proportional-fair scheduler with several
 // registered UEs (the one-UE case and its bitwise goldens live in
-// test_lte_cell.cpp), the admission controller's fleet pricing, and the
-// FleetDriver end-to-end gates (FleetGate.*) that the fleet sanitizer gates
-// re-run under asan/tsan.
+// test_lte_cell.cpp), the FleetDriver end-to-end gates (FleetGate.*) that
+// the fleet sanitizer gates re-run under asan/tsan, and the fleet output
+// goldens.
 
 #include <gtest/gtest.h>
 
@@ -12,8 +12,8 @@
 #include <vector>
 
 #include "poi360/lte/shared_cell.h"
-#include "poi360/serve/admission.h"
 #include "poi360/serve/fleet_driver.h"
+#include "output_hash.h"
 
 using namespace poi360;
 
@@ -121,31 +121,6 @@ TEST(CellHandle, DetachedHandleIsInert) {
   EXPECT_FALSE(handle.attached());
   EXPECT_DOUBLE_EQ(1.0, handle.share(sec(1)));
   handle.report_backlog(1000);  // must be a no-op, not a crash
-}
-
-TEST(Admission, AttachedCellDrivesHeadroom) {
-  serve::AdmissionController::Config config;
-  config.cell.background_users = 0;  // private model: full share
-  serve::AdmissionController admission(config, 1);
-  const Bitrate base = admission.headroom(msec(1));
-  EXPECT_DOUBLE_EQ(config.cell_capacity * config.headroom_fraction, base);
-
-  // Fleet mode: three committed unit-weight UEs, no background — an arrival
-  // would be the fourth backlogged unit, so it is priced at a quarter share,
-  // and the static admitted_demand reservation is not double-counted.
-  lte::SharedCell::Config cell_config;
-  cell_config.background.background_users = 0;
-  lte::SharedCell cell(cell_config, 1);
-  for (int i = 0; i < 3; ++i) {
-    cell.report_demand(cell.register_ue(1.0), 1000);
-  }
-  cell.commit_demand();
-  admission.attach_cell(&cell);
-  admission.on_admitted(mbps(100));  // would zero out the static path
-  EXPECT_DOUBLE_EQ(base / 4.0, admission.headroom(msec(2)));
-
-  admission.attach_cell(nullptr);
-  EXPECT_DOUBLE_EQ(base - mbps(100), admission.headroom(msec(3)));
 }
 
 TEST(Fleet, JainIndexBasics) {
@@ -321,6 +296,70 @@ TEST(FleetTelemetry, TraceSamplingExportsBoundedSubset) {
             std::string::npos)
       << text;
   std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// Output goldens: 2 cells x 4 sessions on the full controller ladder, pinned
+// byte for byte, plain and with telemetry + trace export on.
+
+serve::FleetConfig golden_fleet() {
+  serve::FleetConfig config = small_fleet();
+  config.duration = sec(4);
+  config.ladder = {
+      {core::RateControl::kFbcc, core::CompressionScheme::kPoi360},
+      {core::RateControl::kGcc, core::CompressionScheme::kPoi360},
+      {core::RateControl::kGcc, core::CompressionScheme::kConduit},
+      {core::RateControl::kGcc, core::CompressionScheme::kPyramid}};
+  return config;
+}
+
+TEST(FleetGolden, SummaryIsPinned) {
+  const serve::FleetSummary s = serve::FleetDriver(golden_fleet()).run();
+  EXPECT_EQ(0, s.failed_sessions);
+  const std::string out = serve::to_text(s) + serve::to_json(s);
+  EXPECT_EQ(golden::fnv1a(out), 0xee518a9410954231ULL) << out;
+}
+
+TEST(FleetGolden, TelemetryExpositionAndTracesArePinned) {
+  serve::FleetConfig config = golden_fleet();
+  const std::string dir =
+      std::string(::testing::TempDir()) + "poi360_fleet_golden";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  config.telemetry.enabled = true;
+  config.telemetry.publish_period = sec(1);
+  config.telemetry.slo.delay_target = msec(120);
+  config.telemetry.trace_dir = dir;
+  config.telemetry.trace_sampling.keep_fraction = 0.5;
+  config.telemetry.trace_sampling.max_concurrent = 2;
+  serve::FleetDriver driver(config);
+  const serve::FleetSummary s = driver.run();
+  const std::string text =
+      driver.telemetry_plane()->registry().prometheus_text();
+  // Telemetry is an observer: the report is the plain run's, byte for byte.
+  EXPECT_EQ(golden::fnv1a(serve::to_text(s) + serve::to_json(s)),
+            0xee518a9410954231ULL);
+  EXPECT_EQ(golden::fnv1a(text), 0x809cc5b8fb51a79dULL) << text;
+  EXPECT_EQ(golden::fnv1a_dir(dir), 0x681244308a19f5f9ULL);
+  std::filesystem::remove_all(dir);
+}
+
+// A template core::Session cannot construct fails every session, each as its
+// own FAILED row carrying the exception text; the run itself completes.
+TEST(Fleet, UnconstructibleSessionsBecomeFailedRows) {
+  serve::FleetConfig config = small_fleet();
+  config.duration = sec(1);
+  config.session.grid_cols = 0;
+  const serve::FleetSummary s = serve::FleetDriver(config).run();
+  ASSERT_EQ(8u, s.sessions.size());
+  EXPECT_EQ(8, s.failed_sessions);
+  for (const serve::FleetSessionResult& r : s.sessions) {
+    EXPECT_FALSE(r.ok);
+    EXPECT_NE(r.error.find("TileGrid dimensions must be positive"),
+              std::string::npos)
+        << r.error;
+  }
+  EXPECT_NE(serve::to_text(s).find("FAILED: TileGrid"), std::string::npos);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Serving-harness suite: ManagedSession lifecycle + watchdog, admission
-// policies, and SoakDriver churn runs (determinism, bounded memory, clean
-// shutdown). The SoakGate.* tests are the subset the soak sanitizer gates
-// re-run under asan/tsan.
+// policies, SoakDriver churn runs (determinism, bounded memory, clean
+// shutdown) and the soak output goldens. The SoakGate.* tests are the
+// subset the soak sanitizer gates re-run under asan/tsan.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +18,7 @@
 #include "poi360/serve/admission.h"
 #include "poi360/serve/managed_session.h"
 #include "poi360/serve/soak_driver.h"
+#include "output_hash.h"
 
 namespace poi360::serve {
 namespace {
@@ -502,6 +503,49 @@ TEST(SoakTelemetry, LiveScrapeSeesFinalPublishedState) {
       soak_http_get(driver.metrics_port(), "/healthz").find("ok\n"),
       std::string::npos);
   EXPECT_GE(driver.telemetry_plane()->scrapes_served(), 2);
+}
+
+// ---------------------------------------------------------------------------
+// Output goldens: a short reject-policy soak with one stuck arrival, pinned
+// byte for byte, plain and with telemetry + trace export on. A change to the
+// serving layer that moves any byte of the report, the final exposition or
+// the exported traces fails here.
+
+SoakConfig golden_soak() {
+  SoakConfig config = small_soak(5);
+  config.duration = sec(240);
+  config.mean_interarrival = sec(8);
+  config.admission.policy = AdmissionController::Policy::kReject;
+  config.admission.cell_capacity = mbps(4);
+  config.admission.headroom_fraction = 1.0;
+  config.stuck_arrivals = {2};
+  return config;
+}
+
+TEST(SoakGolden, SummaryIsPinned) {
+  const SoakSummary s = SoakDriver(golden_soak()).run();
+  EXPECT_GT(s.rejected_admission, 0);
+  EXPECT_GE(s.force_drained, 1);
+  const std::string out = to_text(s) + to_json(s);
+  EXPECT_EQ(golden::fnv1a(out), 0x9ff09f06e0f533c0ULL) << out;
+}
+
+TEST(SoakGolden, TelemetryExpositionAndTracesArePinned) {
+  SoakConfig config = golden_soak();
+  config.telemetry.enabled = true;
+  config.telemetry.slo.delay_target = msec(120);
+  config.telemetry.trace_dir = telemetry_scratch("soak_golden");
+  config.telemetry.trace_sampling.keep_fraction = 0.5;
+  config.telemetry.trace_sampling.max_concurrent = 2;
+  SoakDriver driver(config);
+  const SoakSummary s = driver.run();
+  const std::string text = driver.registry().prometheus_text();
+  EXPECT_EQ(golden::fnv1a(to_text(s) + to_json(s)), 0x299f2b33ee058fb0ULL)
+      << to_text(s);
+  EXPECT_EQ(golden::fnv1a(text), 0xa2e7eb1959664d73ULL) << text;
+  EXPECT_EQ(golden::fnv1a_dir(config.telemetry.trace_dir),
+            0xf03d3942c23d316cULL);
+  std::filesystem::remove_all(config.telemetry.trace_dir);
 }
 
 // ---------------------------------------------------------------------------
